@@ -68,9 +68,10 @@ cover-check: cover cover-gate
 # (truncated, bit-flipped or garbage bytes must yield typed
 # checkpoint.ErrCorrupt — never a panic, never a silent mis-decode), the
 # lease-token codec (arbitrary LEASE file bytes must yield an error wrapping
-# checkpoint.ErrCorrupt), the adoption-handshake frames and the quantized
-# gradient sub-frame (arbitrary codec bytes, corrupt scale headers and
-# truncated payloads must yield transport.ErrMalformed — never a panic). A
+# checkpoint.ErrCorrupt), and the transport frame codec (any byte stream
+# Recv reads — every message type, batches, quantized payloads, adoptions,
+# truncations, foreign protocol versions — must yield valid envelopes,
+# transport.ErrMalformed or a connection error — never a panic). A
 # failing input is written to the package's testdata/fuzz; rerun it with
 # `go test -run 'Fuzz<Target>/<name>' ./internal/<pkg>`.
 FUZZTIME ?= 10s
@@ -79,8 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzLease$$' -fuzztime $(FUZZTIME) ./internal/ha
-	$(GO) test -run '^$$' -fuzz '^FuzzAdoption$$' -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzQuantizedFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 
 # Smoke-run the quickstart example: a panic in example main paths must fail

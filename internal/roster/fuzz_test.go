@@ -40,15 +40,25 @@ type memAddr struct{}
 func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem" }
 
-// encodeFrames gob-encodes envelopes back to back on one stream, exactly as
-// a transport.Conn sender would.
+// encodeFrames encodes envelopes back to back on one stream, exactly as a
+// transport.Conn sender would.
 func encodeFrames(envs ...*transport.Envelope) []byte {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	var buf []byte
 	for _, env := range envs {
-		if err := enc.Encode(env); err != nil {
+		var err error
+		if buf, err = transport.AppendFrame(buf, env); err != nil {
 			panic(err)
 		}
+	}
+	return buf
+}
+
+// gobHello is what a peer speaking the gob-encoded protocol (version 1)
+// opens a connection with.
+func gobHello() []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
+		panic(err)
 	}
 	return buf.Bytes()
 }
@@ -61,8 +71,7 @@ func FuzzReadHello(f *testing.F) {
 	// Truncated frame: the sender died mid-write.
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:1])
-	// Duplicated frame bytes: the stream replays its own prefix, including
-	// the gob type definitions a second time.
+	// Duplicated frame bytes: the stream replays its own prefix.
 	f.Add(append(append([]byte{}, valid...), valid...))
 	// Two well-formed hellos on one stream (a legitimate double hello).
 	f.Add(encodeFrames(
@@ -74,7 +83,9 @@ func FuzzReadHello(f *testing.F) {
 	f.Add(encodeFrames(&transport.Envelope{Type: transport.MsgHello, WorkerID: 0}))
 	f.Add(encodeFrames(&transport.Envelope{Type: transport.MsgHello, WorkerID: 4, Epoch: 9}))
 	f.Add([]byte{})
-	f.Add([]byte("not gob at all"))
+	// A peer on the gob-encoded protocol: a typed version mismatch.
+	f.Add(gobHello())
+	f.Add([]byte("not a frame at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

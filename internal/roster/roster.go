@@ -227,6 +227,11 @@ type Engine struct {
 	contribs     []obs.MemberSpan
 	contribIter  int
 	contribStart time.Time
+
+	// frame is the encode buffer for Migrate's assignments and the
+	// parameter broadcast, reused across calls. Touched only by the run-loop
+	// goroutine.
+	frame []byte
 }
 
 // New validates the config and starts the accept loop on lis. The engine
@@ -285,11 +290,11 @@ func New(cfg Config, lis *transport.Listener) (*Engine, error) {
 func (e *Engine) Addr() string { return e.lis.Addr() }
 
 // ReadHello reads and validates the join handshake frame. Every failure —
-// a broken or truncated gob stream, a duplicated type definition, a frame
-// of the wrong type, or a hello carrying payloads a hello must not carry —
-// is reported as an error wrapping transport.ErrMalformed, so handshake
-// code (and its fuzzers) can assert on one typed error for the whole
-// decode path.
+// a truncated or oversized frame, a peer on another protocol version
+// (transport.ErrProtocolVersion, which names both versions), a frame of the
+// wrong type, or a hello carrying payloads a hello must not carry — is
+// reported as an error wrapping transport.ErrMalformed, so handshake code
+// (and its fuzzers) can assert on one typed error for the whole decode path.
 func ReadHello(conn *transport.Conn) (*transport.Envelope, error) {
 	env, err := conn.Recv()
 	if err != nil {
@@ -515,10 +520,10 @@ func (e *Engine) readLoop(id, gen int, conn *transport.Conn) {
 	}
 }
 
-// sendTo writes one envelope under the configured write deadline.
-func (e *Engine) sendTo(conn *transport.Conn, env *transport.Envelope) error {
+// sendTo writes one encoded frame under the configured write deadline.
+func (e *Engine) sendTo(conn *transport.Conn, frame []byte) error {
 	_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-	err := conn.Send(env)
+	err := conn.SendFrame(frame)
 	_ = conn.SetWriteDeadline(time.Time{})
 	return err
 }
@@ -715,7 +720,11 @@ func (e *Engine) Migrate(iter int, reason string) (*elastic.Plan, error) {
 					S:          e.cfg.S,
 				},
 			}
-			if err := e.sendTo(conn, env); err != nil {
+			var err error
+			if e.frame, err = transport.AppendFrame(e.frame[:0], env); err == nil {
+				err = e.sendTo(conn, e.frame)
+			}
+			if err != nil {
 				e.noteDeath(id, gen)
 				failed = true
 			}
@@ -737,6 +746,7 @@ func (e *Engine) Migrate(iter int, reason string) (*elastic.Plan, error) {
 // BroadcastParams sends one iteration's parameters, tagged with the plan
 // epoch, the root generation and the iteration's wire trace context, to
 // every live plan member; members whose send fails are marked dead. The
+// frame is encoded once and the same bytes are written to every member. The
 // first broadcast of an iteration also resets the stitched-span accumulator
 // and anchors the contribution-latency clock (a retry re-broadcast of the
 // same iteration keeps both: the member's real wait spans the failed
@@ -747,7 +757,10 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 		e.contribs = e.contribs[:0]
 		e.contribStart = time.Now()
 	}
-	trace := obs.TraceID(uint64(e.cfg.RootGen), plan.Epoch, iter)
+	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Epoch: plan.Epoch, RootGen: e.cfg.RootGen,
+		Trace: obs.TraceID(uint64(e.cfg.RootGen), plan.Epoch, iter), Vector: params}
+	var err error
+	e.frame, err = transport.AppendFrame(e.frame[:0], env)
 	for _, id := range plan.Members {
 		e.mu.Lock()
 		m := e.members[id]
@@ -756,8 +769,7 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 		if !live {
 			continue
 		}
-		env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Epoch: plan.Epoch, RootGen: e.cfg.RootGen, Trace: trace, Vector: params}
-		if err := e.sendTo(conn, env); err != nil {
+		if err != nil || e.sendTo(conn, e.frame) != nil {
 			e.noteDeath(id, gen)
 		}
 	}

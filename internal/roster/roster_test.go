@@ -1,8 +1,11 @@
 package roster
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -401,6 +404,41 @@ func TestCollectFencesStaleGeneration(t *testing.T) {
 
 // TestHandshakeRejectsMalformedHello: peers that open with anything but a
 // well-formed hello are dropped without ever becoming members.
+// TestHandshakeRefusesGobPeer connects a peer speaking the gob-encoded
+// protocol (version 1): ReadHello fails with a typed version mismatch, and
+// the engine hangs up at once rather than waiting out the handshake timeout.
+func TestHandshakeRefusesGobPeer(t *testing.T) {
+	var hello bytes.Buffer
+	if err := gob.NewEncoder(&hello).Encode(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := net.Pipe()
+	go func() { _, _ = a.Write(hello.Bytes()); a.Close() }()
+	if _, err := ReadHello(transport.NewConn(b)); !errors.Is(err, transport.ErrProtocolVersion) {
+		t.Fatalf("ReadHello(gob hello) = %v, want ErrProtocolVersion", err)
+	}
+	b.Close()
+
+	eng, _ := newTestEngine(t, 4, 1, func(c *Config) { c.HandshakeTimeout = time.Minute })
+	raw, err := net.Dial("tcp", eng.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// A hang-up reads as EOF, or as a reset if the close raced unread bytes.
+	_ = raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var ne net.Error
+	if n, err := raw.Read(make([]byte, 64)); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("engine answered a gob hello with %d bytes, err %v; want a hang-up", n, err)
+	}
+	if j := eng.Joins(); j != 0 {
+		t.Fatalf("joins = %d after a gob hello, want 0", j)
+	}
+}
+
 func TestHandshakeRejectsMalformedHello(t *testing.T) {
 	eng, _ := newTestEngine(t, 4, 1, nil)
 	bad := []*transport.Envelope{

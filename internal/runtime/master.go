@@ -195,8 +195,9 @@ func (ma *Master) WaitForWorkers(timeout time.Duration) error {
 				env, err := conn.Recv()
 				if err != nil {
 					if errors.Is(err, transport.ErrMalformed) {
-						// The gob stream is still in sync: drop the frame,
-						// treat the worker as a straggler, keep reading.
+						// The frame was length-delimited, so the stream is
+						// still in sync: drop the frame, treat the worker as
+						// a straggler, keep reading.
 						ma.inbox <- workerGradient{workerID: id, malformed: true}
 						continue
 					}
@@ -231,8 +232,13 @@ func (ma *Master) Run() (*MasterResult, error) {
 	uploads := make([]int, m)
 	used := make([]int, m)
 
+	var frame []byte // the iteration's params broadcast, encoded once for every worker
 	for iter := 0; iter < ma.cfg.Iterations; iter++ {
 		start := time.Now()
+		var err error
+		if frame, err = transport.AppendFrame(frame[:0], &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params}); err != nil {
+			return nil, fmt.Errorf("iteration %d params: %w", iter, err)
+		}
 		for id, conn := range ma.conns {
 			if dead[id] {
 				continue
@@ -241,8 +247,7 @@ func (ma *Master) Run() (*MasterResult, error) {
 			// the broadcast and is treated as dead instead of blocking the
 			// loop on a full socket buffer.
 			_ = conn.SetWriteDeadline(time.Now().Add(ma.cfg.IterTimeout))
-			env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params}
-			err := conn.Send(env)
+			err := conn.SendFrame(frame)
 			_ = conn.SetWriteDeadline(time.Time{})
 			if err != nil {
 				dead[id] = true

@@ -693,10 +693,11 @@ func (r *Root) markDown(g, seq int, cause error) {
 	r.cfg.Obs.Event(obs.Event{Kind: obs.EvUplink, Iter: r.serveIter, Group: g, Detail: fmt.Sprintf("uplink lost: %v", cause)})
 }
 
-// sendParams broadcasts one iteration's parameters to one group, stamped
-// with the root's generation. A down external group is skipped (adoption
-// will trigger a resend); a failed or missing in-process uplink is fatal.
-func (r *Root) sendParams(g, iter int, params []float64) error {
+// sendParams writes one iteration's encoded parameter broadcast (stamped
+// with the root's generation) to one group. A down external group is
+// skipped (adoption will trigger a resend); a failed or missing in-process
+// uplink is fatal.
+func (r *Root) sendParams(g int, frame []byte) error {
 	r.upMu.Lock()
 	conn, seq := r.uplink[g], r.upSeq[g]
 	r.upMu.Unlock()
@@ -706,9 +707,8 @@ func (r *Root) sendParams(g, iter int, params []float64) error {
 		}
 		return fmt.Errorf("%w: group %d uplink gone", ErrGroupFailed, g)
 	}
-	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.gen, Trace: obs.TraceID(uint64(r.gen), -1, iter)}
 	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.IterTimeout))
-	err := conn.Send(env)
+	err := conn.SendFrame(frame)
 	_ = conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		r.markDown(g, seq, err)
@@ -878,6 +878,7 @@ func (r *Root) Run() (*Result, error) {
 	}
 
 	sums := make([][]float64, r.plan.NumGroups())
+	var frame []byte // the iteration's params broadcast, encoded once for every group
 	for iter := r.startIter; iter < r.cfg.Iterations; iter++ {
 		start := time.Now()
 		r.upMu.Lock()
@@ -886,11 +887,17 @@ func (r *Root) Run() (*Result, error) {
 		// Epoch -1: plan epochs are group-local here; the epoch gauge is
 		// owned by the group replan events.
 		sc := r.cfg.Obs.StartIter(iter, -1)
-		sc.SetTraceID(obs.TraceID(uint64(r.gen), -1, iter))
+		trace := obs.TraceID(uint64(r.gen), -1, iter)
+		sc.SetTraceID(trace)
 		sc.Phase(obs.PhaseBroadcast)
+		var err error
+		frame, err = transport.AppendFrame(frame[:0], &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.gen, Trace: trace})
+		if err != nil {
+			return nil, fmt.Errorf("%w: iteration %d params: %v", ErrGroupFailed, iter, err)
+		}
 		for g := range sums {
 			sums[g] = nil
-			if err := r.sendParams(g, iter, params); err != nil {
+			if err := r.sendParams(g, frame); err != nil {
 				return nil, r.fenced(r.drainErr(err))
 			}
 		}
@@ -957,7 +964,7 @@ func (r *Root) Run() (*Result, error) {
 				}
 			case g := <-r.adoptedc:
 				if sums[g] == nil {
-					if err := r.sendParams(g, iter, params); err != nil {
+					if err := r.sendParams(g, frame); err != nil {
 						deadline.Stop()
 						return nil, r.fenced(r.drainErr(err))
 					}

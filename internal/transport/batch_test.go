@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,38 +13,13 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
-// randomEnvelope draws one valid non-batch envelope of a random flavour.
-func randomEnvelope(rng *rand.Rand) *Envelope {
-	vec := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
+// randomValidEnvelope draws one valid non-batch envelope of a random type.
+func randomValidEnvelope(rng *rand.Rand) *Envelope {
+	typ := MsgType(1 + rng.Intn(int(MsgPartition)-1))
+	if typ >= MsgBatch {
+		typ++
 	}
-	switch rng.Intn(5) {
-	case 0: // unchunked gradient
-		return &Envelope{Type: MsgGradient, Iter: rng.Intn(100), Epoch: rng.Intn(5),
-			WorkerID: rng.Intn(8), Vector: vec(1 + rng.Intn(16))}
-	case 1: // chunked gradient
-		chunks := 2 + rng.Intn(4)
-		return &Envelope{Type: MsgGradient, Iter: rng.Intn(100), Epoch: rng.Intn(5),
-			WorkerID: rng.Intn(8), Chunk: rng.Intn(chunks), Chunks: chunks,
-			Vector: vec(1 + rng.Intn(16))}
-	case 2:
-		return &Envelope{Type: MsgParams, Iter: rng.Intn(100), Epoch: rng.Intn(5),
-			Vector: vec(1 + rng.Intn(16))}
-	case 3:
-		return &Envelope{Type: MsgTelemetry, Iter: rng.Intn(100), WorkerID: rng.Intn(8),
-			Telemetry: &Telemetry{ComputeSeconds: rng.Float64(), Partitions: 1 + rng.Intn(9)}}
-	default:
-		return &Envelope{Type: MsgReassign, Epoch: rng.Intn(5), Assign: &Assignment{
-			WorkerID:   rng.Intn(8),
-			Partitions: []int{0, 2},
-			RowCoeffs:  []float64{rng.NormFloat64(), rng.NormFloat64()},
-			K:          4, S: 1,
-		}}
-	}
+	return validEnvelope(rng, typ)
 }
 
 // TestBatchRoundTripProperty is the batching contract: any sequence of
@@ -57,7 +31,7 @@ func TestBatchRoundTripProperty(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		envs := make([]*Envelope, n)
 		for i := range envs {
-			envs[i] = randomEnvelope(rng)
+			envs[i] = randomValidEnvelope(rng)
 		}
 
 		batched, batchedPeer := pipePair(t)
@@ -129,12 +103,11 @@ func TestSendBatchRejectsNested(t *testing.T) {
 // the whole batch fails with ErrMalformed and the connection survives.
 func TestTruncatedSubFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	envs := []*Envelope{randomEnvelope(rng), randomEnvelope(rng), randomEnvelope(rng)}
-	var payload bytes.Buffer
-	if err := encodeBatch(&payload, envs); err != nil {
+	envs := []*Envelope{randomValidEnvelope(rng), randomValidEnvelope(rng), randomValidEnvelope(rng)}
+	full, err := encodeBatch(nil, envs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := payload.Bytes()
 	// A cut exactly at a sub-frame boundary is a (valid) shorter batch; every
 	// other cut lands inside a prefix or payload and must be rejected.
 	boundary := map[int]bool{}
@@ -174,20 +147,14 @@ func TestTruncatedSubFrames(t *testing.T) {
 
 func TestBatchRejectsMalformedSubFrameAndEmpty(t *testing.T) {
 	// A structurally intact sub-frame that violates protocol invariants
-	// (chunk index out of range) poisons the whole batch.
+	// (chunk index out of range) poisons the whole batch. The encoder does
+	// not validate, so it builds the hostile payload as is.
 	bad := &Envelope{Type: MsgGradient, Vector: []float64{1}, Chunk: 5, Chunks: 2}
-	var payload bytes.Buffer
-	var scratch bytes.Buffer
-	if err := encodeBatch(&scratch, []*Envelope{{Type: MsgParams, Vector: []float64{1}}}); err != nil {
+	payload, err := encodeBatch(nil, []*Envelope{{Type: MsgParams, Vector: []float64{1}}, bad})
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload.Write(scratch.Bytes())
-	var raw bytes.Buffer
-	if err := encodeBatchUnvalidated(&raw, bad); err != nil {
-		t.Fatal(err)
-	}
-	payload.Write(raw.Bytes())
-	if _, err := decodeBatch(payload.Bytes()); !errors.Is(err, ErrMalformed) {
+	if _, err := decodeBatch(payload); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("invalid sub-frame: err = %v, want ErrMalformed", err)
 	}
 
@@ -200,20 +167,6 @@ func TestBatchRejectsMalformedSubFrameAndEmpty(t *testing.T) {
 	if _, err := b.Recv(); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("empty MsgBatch recv err = %v, want ErrMalformed", err)
 	}
-}
-
-// encodeBatchUnvalidated writes one sub-frame without send-side checks, to
-// craft hostile payloads.
-func encodeBatchUnvalidated(buf *bytes.Buffer, e *Envelope) error {
-	var scratch bytes.Buffer
-	if err := gob.NewEncoder(&scratch).Encode(e); err != nil {
-		return err
-	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(scratch.Len()))
-	buf.Write(prefix[:])
-	buf.Write(scratch.Bytes())
-	return nil
 }
 
 func TestChunkJoinRoundTrip(t *testing.T) {
@@ -276,14 +229,14 @@ func TestJoinChunksRejectsBrokenSequences(t *testing.T) {
 // re-encodes to an equivalent batch.
 func FuzzDecodeBatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
-	var seed bytes.Buffer
-	if err := encodeBatch(&seed, []*Envelope{randomEnvelope(rng), randomEnvelope(rng)}); err != nil {
+	seed, err := encodeBatch(nil, []*Envelope{randomValidEnvelope(rng), randomValidEnvelope(rng)})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed.Bytes())
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 200, 1, 2, 3})
-	f.Add(seed.Bytes()[:seed.Len()/2])
+	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		subs, err := decodeBatch(data)
 		if err != nil {
@@ -303,15 +256,15 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("accepted invalid sub-frame %d: %v", i, err)
 			}
 		}
-		var re bytes.Buffer
-		if err := encodeBatch(&re, subs); err != nil {
+		re, err := encodeBatch(nil, subs)
+		if err != nil {
 			t.Fatalf("re-encode of accepted batch failed: %v", err)
 		}
-		again, err := decodeBatch(re.Bytes())
+		again, err := decodeBatch(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(subs, again) {
+		if again2, _ := encodeBatch(nil, again); !bytes.Equal(again2, re) {
 			t.Fatal("decode/encode/decode not a fixed point")
 		}
 	})
@@ -330,13 +283,13 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		envs := make([]*Envelope, n)
 		for i := range envs {
-			envs[i] = randomEnvelope(rng)
+			envs[i] = randomValidEnvelope(rng)
 		}
-		var payload bytes.Buffer
-		if err := encodeBatch(&payload, envs); err != nil {
+		payload, err := encodeBatch(nil, envs)
+		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := decodeBatch(payload.Bytes())
+		got, err := decodeBatch(payload)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

@@ -1,8 +1,8 @@
 // Shared compact float-vector codec. Gradient payloads dominate every frame
 // this system persists or ships — batched uploads on the wire, model
 // snapshots in a checkpoint directory — so the little-endian IEEE-754 layout
-// used by the batch fast path is exported here for every component that
-// frames float64 vectors (internal/checkpoint reuses it verbatim for
+// the envelope frame uses for its float64 fields is exported here for every
+// component that frames float64 vectors (internal/checkpoint reuses it verbatim for
 // snapshot params and optimizer state).
 package transport
 
@@ -10,11 +10,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AppendFloat64s appends vec's compact binary encoding (8 bytes per element,
 // little-endian IEEE-754) to dst and returns the extended slice.
 func AppendFloat64s(dst []byte, vec []float64) []byte {
+	dst = slices.Grow(dst, 8*len(vec))
 	for _, v := range vec {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}

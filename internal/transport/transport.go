@@ -1,5 +1,6 @@
 // Package transport implements the wire protocol between the master and the
-// workers: gob-encoded envelopes over TCP (or any net.Conn). The protocol is
+// workers: envelopes over TCP (or any net.Conn), each one length-prefixed
+// binary frame (frame.go documents the layout). The protocol is
 // deliberately small — assignment, parameter broadcast, coded-gradient
 // upload, shutdown — mirroring the BSP gradient-coding loop of the paper,
 // plus the elastic control-plane extensions: per-iteration telemetry uploads
@@ -7,11 +8,13 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -41,7 +44,7 @@ const (
 	// (Epoch, Assignment) and atomically supersedes every earlier epoch.
 	MsgReassign
 	// MsgBatch coalesces several sub-frames into one write: its Batch payload
-	// is a sequence of length-prefixed, individually gob-encoded envelopes.
+	// is a sequence of frames, each in the envelope frame layout.
 	// Recv unpacks batches transparently, so receivers never see this type.
 	MsgBatch
 	// MsgAdopt is the group-master adoption handshake. A restartable group
@@ -172,7 +175,7 @@ type Envelope struct {
 	Telemetry     *Telemetry
 	// Adopt is the MsgAdopt payload.
 	Adopt *Adoption
-	// Batch is the MsgBatch payload: length-prefixed gob-encoded sub-frames.
+	// Batch is the MsgBatch payload: a sequence of length-prefixed frames.
 	Batch []byte
 	// Part is the global partition index of a data-plane frame
 	// (MsgPartitionReq / MsgPartition); 0 otherwise.
@@ -181,9 +184,8 @@ type Envelope struct {
 	// dataset (see internal/dataplane).
 	Blob []byte
 	// Codecs advertises the sender's supported non-raw gradient codecs in a
-	// handshake frame (MsgHello / MsgAdopt). A peer that predates codec
-	// negotiation sends no advertisement — gob simply omits the unknown
-	// field — and is served raw float64.
+	// handshake frame (MsgHello / MsgAdopt). A peer that advertises no
+	// codecs is served raw float64.
 	Codecs []byte
 	// Codec is the gradient codec byte (grad.Codec): on a handshake ack it
 	// is the master's chosen codec for the connection; on a MsgGradient it
@@ -198,8 +200,7 @@ type Envelope struct {
 	// it from (root generation, epoch, iteration), stamps it on every
 	// parameter broadcast, and members echo it on their uploads so span
 	// records stitch to the right iteration even across migrations and
-	// failovers. 0 means no trace context (a peer predating propagation —
-	// gob omits the unknown field).
+	// failovers. 0 means no trace context.
 	Trace uint64
 	// Spans carries the sender's member-local phase timing records,
 	// piggybacked on an upload frame (the final chunk of a chunked upload).
@@ -218,17 +219,15 @@ var (
 )
 
 // MaxVectorLen bounds the length of any Vector accepted by Recv, far above
-// any real model dimension. Note this is an application-layer sanity check:
-// gob has already decoded (and allocated) the frame by the time it runs, so
-// it rejects absurd frames before they reach the runtime but does not bound
-// the decoder's own allocation.
-const MaxVectorLen = 1 << 30
+// any real model dimension. With MaxBlobLen it sets the frame-size cap Recv
+// checks every length prefix against before reading the body.
+const MaxVectorLen = 1 << 27
 
 // MaxAdoptMembers bounds the member list of an adoption handshake.
 const MaxAdoptMembers = 1 << 20
 
 // MaxBlobLen bounds the byte length of any data-plane Blob piece accepted by
-// Recv (the same application-layer sanity check as MaxVectorLen).
+// Recv (the same sanity check as MaxVectorLen).
 const MaxBlobLen = 1 << 30
 
 // MaxPartIndex bounds the partition index of a data-plane frame, far above
@@ -415,12 +414,18 @@ func (e *Envelope) validate() error {
 	return nil
 }
 
-// Conn is a gob-framed bidirectional message stream. Send and Recv are each
-// safe for one concurrent user (one reader, one writer).
+// Conn is a framed bidirectional message stream. Send is safe for
+// concurrent use; Recv has one reader.
 type Conn struct {
-	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	raw countingConn
+
+	wmu  sync.Mutex
+	wbuf []byte // Send's frame buffer, reused across calls
+
+	in frameReader
+	// rerr sticks after a framing error: the stream position is lost, so
+	// every later Recv fails instead of parsing from the middle of a frame.
+	rerr error
 	// pending holds sub-frames of the last received batch still owed to Recv
 	// callers (only the reader touches it).
 	pending []*Envelope
@@ -430,7 +435,7 @@ type Conn struct {
 // shim feeding the process-wide Wire counters.
 func NewConn(raw net.Conn) *Conn {
 	counted := countingConn{Conn: raw}
-	return &Conn{raw: raw, enc: gob.NewEncoder(counted), dec: gob.NewDecoder(counted)}
+	return &Conn{raw: counted, in: frameReader{r: bufio.NewReaderSize(counted, readBufSize)}}
 }
 
 // Dial connects to a master at addr.
@@ -442,17 +447,41 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// Send writes one envelope.
+// Send encodes one envelope into the connection's reused frame buffer and
+// writes it with one Write.
 func (c *Conn) Send(e *Envelope) error {
-	if err := c.enc.Encode(e); err != nil {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	frame, err := AppendFrame(c.wbuf[:0], e)
+	c.wbuf = frame
+	if err != nil {
 		return fmt.Errorf("transport send %v: %w", e.Type, err)
 	}
-	wire.framesOut.Add(1)
-	if e.Type == MsgBatch {
-		wire.batches.Add(1)
+	return c.write(e.Type, frame)
+}
+
+// SendFrame writes one frame built by AppendFrame, updating the frame and
+// batch counters exactly as Send does. The frame is only read, so one
+// encoded frame — an iteration's parameter broadcast — can be written to
+// every member without encoding it again.
+func (c *Conn) SendFrame(frame []byte) error {
+	var typ MsgType
+	if len(frame) > 4 {
+		t, _ := binary.Uvarint(frame[4:])
+		typ = MsgType(t)
 	}
-	if e.Type == MsgGradient {
-		countCodecOut(e)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.write(typ, frame)
+}
+
+func (c *Conn) write(typ MsgType, frame []byte) error {
+	if _, err := c.raw.Write(frame); err != nil {
+		return fmt.Errorf("transport send %v: %w", typ, err)
+	}
+	wire.framesOut.Add(1)
+	if typ == MsgBatch {
+		wire.batches.Add(1)
 	}
 	return nil
 }
@@ -475,22 +504,39 @@ func (e *Envelope) dequantize() error {
 
 // Recv reads one envelope and validates its protocol invariants; frames that
 // fail validation are rejected with an error wrapping ErrMalformed so they
-// never reach the decode path. Batches (SendBatch) are unpacked
-// transparently: their sub-frames are returned one per Recv call, in send
-// order, and a batch with any malformed or truncated sub-frame is rejected
-// whole — the outer frame was fully consumed, so the stream stays in sync.
+// never reach the decode path, and the stream stays in sync for the next
+// frame. Batches (SendBatch) are unpacked transparently: their sub-frames
+// are returned one per Recv call, in send order, and a batch with any
+// malformed or truncated sub-frame is rejected whole. A framing failure — a
+// read error, a truncated body, a length prefix over the frame cap, a
+// stream that opens in another protocol (ErrProtocolVersion) — loses the
+// stream position, so every later Recv fails too. Returned envelopes share
+// no memory with the connection.
 func (c *Conn) Recv() (*Envelope, error) {
 	if len(c.pending) > 0 {
 		e := c.pending[0]
 		c.pending = c.pending[1:]
 		return e, nil
 	}
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("transport recv: %w", err)
+	if c.rerr != nil {
+		return nil, c.rerr
+	}
+	body, err := c.in.next()
+	if err != nil {
+		if errors.Is(err, ErrMalformed) {
+			c.rerr = fmt.Errorf("transport recv: stream abandoned after %v", err)
+			wire.malformed.Add(1)
+			return nil, err
+		}
+		c.rerr = fmt.Errorf("transport recv: %w", err)
+		return nil, c.rerr
 	}
 	wire.framesIn.Add(1)
-	if err := e.validate(); err != nil {
+	e, err := decodeBody(body)
+	if err == nil {
+		err = e.validate()
+	}
+	if err != nil {
 		wire.malformed.Add(1)
 		return nil, err
 	}
@@ -504,13 +550,13 @@ func (c *Conn) Recv() (*Envelope, error) {
 		return subs[0], nil
 	}
 	if e.Type == MsgGradient {
-		countCodecIn(&e)
+		countCodecIn(e)
 		if err := e.dequantize(); err != nil {
 			wire.malformed.Add(1)
 			return nil, err
 		}
 	}
-	return &e, nil
+	return e, nil
 }
 
 // SetDeadline bounds both reads and writes.

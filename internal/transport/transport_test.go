@@ -96,8 +96,8 @@ func TestRecvRejectsMalformed(t *testing.T) {
 			if _, err := server.Recv(); !errors.Is(err, ErrMalformed) {
 				t.Fatalf("Recv err = %v, want ErrMalformed", err)
 			}
-			// The gob stream stays in sync: a valid frame after the rejected
-			// one is still received.
+			// The stream is length-delimited, so it stays in sync: a valid
+			// frame after the rejected one is still received.
 			if err := client.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: []float64{1}}); err != nil {
 				t.Fatal(err)
 			}

@@ -24,8 +24,8 @@ var wire struct {
 
 // Wire snapshots the process-wide transport counters: frames received and
 // sent, raw bytes read and written (counted at the net.Conn boundary, so
-// gob framing overhead is included), batch frames sent, and frames
-// rejected as malformed. Counters are cumulative for the process lifetime.
+// frame headers are included), batch frames sent, and frames rejected as
+// malformed. Counters are cumulative for the process lifetime.
 func Wire() (framesIn, framesOut, bytesIn, bytesOut, batches, malformed uint64) {
 	return wire.framesIn.Load(), wire.framesOut.Load(),
 		wire.bytesIn.Load(), wire.bytesOut.Load(),
